@@ -144,7 +144,7 @@ def test_mpp_tree_cell_64n(run_once):
 
     This is the headline number for the in-cell hot path: everything —
     scheduler, network transfers, CPU slices, pipes, metrics — sits on
-    it.  History in BENCH_DES.json records the pre-calendar-queue heap
-    kernel at ~0.94s on the reference machine."""
+    it.  History in BENCH_DES.json records it under every event
+    scheduler the kernel has had."""
     received = run_once(_mpp_tree_cell)
     assert received > 0

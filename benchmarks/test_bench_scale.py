@@ -1,8 +1,8 @@
 """Scale benchmarks: events/sec and peak RSS as cells grow.
 
-The calendar-queue scheduler and the streaming statistics layer exist
-so that one *large* cell stays fast and memory-flat; these benchmarks
-measure exactly that promise at 64, 256, and 1024 NOW nodes.
+The kernel's heap scheduler and the streaming statistics layer keep
+one *large* cell fast and memory-flat; these benchmarks measure that
+promise at 64, 256, and 1024 NOW nodes.
 
 Peak RSS (``ru_maxrss``) is monotonic over a process's lifetime, so
 each node count runs in its own subprocess and reports a JSON record;
@@ -107,9 +107,10 @@ def test_scale_cell_completes(scale_probes, nodes):
 def test_scale_throughput_does_not_collapse(scale_probes):
     """Events/sec at 1024 nodes stays within 3x of the 64-node rate.
 
-    An O(1) scheduler keeps per-event cost roughly flat as the schedule
-    deepens; a heap regression shows up here as a widening gap long
-    before the absolute gate in BENCH_SCALE.json trips.
+    The heap's O(log n) pops keep per-event cost roughly flat as the
+    schedule deepens; a superlinear regression in the kernel or the
+    model shows up here as a widening gap long before the absolute gate
+    in BENCH_SCALE.json trips.
     """
     small = scale_probes[64]["events_per_second"]
     large = scale_probes[1024]["events_per_second"]

@@ -13,6 +13,7 @@ simulator's uninstrumented application throughput, and documents
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 from typing import List, Sequence
 
 __all__ = ["MVACenter", "MVAResult", "mva"]
@@ -63,12 +64,20 @@ def mva(
     population:
         Number of circulating customers N ≥ 1.
     think_time:
-        Pure delay Z between cycles, µs.
+        Pure delay Z between cycles, µs; finite and non-negative.
+
+    Raises ``ValueError`` when a cycle time ``Z + R(n)`` is so short
+    (zero, or subnormal with all-zero demands) that the throughput
+    ``n / (Z + R(n))`` is not finite.
     """
     if population < 1:
         raise ValueError("population must be >= 1")
     if any(c.demand < 0 for c in centers):
         raise ValueError("demands must be non-negative")
+    if not isfinite(think_time):
+        raise ValueError(f"think_time must be finite, got {think_time!r}")
+    if think_time < 0:
+        raise ValueError(f"think_time must be non-negative, got {think_time!r}")
     K = len(centers)
     queue = [0.0] * K
     throughput = 0.0
@@ -79,8 +88,13 @@ def mva(
                 residence[k] = c.demand
             else:
                 residence[k] = c.demand * (1.0 + queue[k])
-        total_r = sum(residence)
-        throughput = n / (think_time + total_r) if (think_time + total_r) > 0 else 0.0
+        cycle = think_time + sum(residence)
+        throughput = n / cycle if cycle > 0 else inf
+        if throughput == inf:
+            raise ValueError(
+                f"cycle time {cycle!r} µs at population {n} makes "
+                "throughput non-finite"
+            )
         queue = [throughput * r for r in residence]
     utilization = [throughput * c.demand for c in centers]
     return MVAResult(

@@ -1,12 +1,11 @@
 """The simulation :class:`Environment`: clock, event queue, main loop.
 
-The environment owns the simulation clock (``env.now``) and a pluggable
-event scheduler (:mod:`repro.des.queues`) ordering scheduled events by
-``(time, priority, sequence)`` — a calendar queue by default, selectable
-via ``REPRO_DES_QUEUE={heap,calendar,ladder}``; every implementation
-pops in the identical total order.  Model code creates events through
-the factory methods (:meth:`timeout`, :meth:`process`, :meth:`event`,
-...) and drives the simulation with :meth:`run`.
+The environment owns the simulation clock (``env.now``) and the event
+scheduler (:class:`~repro.des.queues.HeapScheduler`, a binary heap)
+ordering scheduled events by the total order ``(time, priority,
+sequence)``.  Model code creates events through the factory methods
+(:meth:`timeout`, :meth:`process`, :meth:`event`, ...) and drives the
+simulation with :meth:`run`.
 
 Time is a plain ``float``; this package uses **microseconds** throughout
 the ROCC model, but the kernel itself is unit-agnostic.
@@ -37,7 +36,7 @@ from .exceptions import (
     SimulationStalled,
     StopSimulation,
 )
-from .queues import make_scheduler
+from .queues import HeapScheduler
 
 __all__ = ["Environment", "Infinity"]
 
@@ -74,16 +73,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
-        #: The event scheduler (``REPRO_DES_QUEUE`` selects the
-        #: implementation); ``_push`` is its bound enqueue, cached so
-        #: the factory hot paths pay one attribute load, not two.
-        self._scheduler = make_scheduler()
+        #: The event scheduler; ``_push`` is its bound enqueue, cached
+        #: so the factory hot paths pay one attribute load, not two.
+        self._scheduler = HeapScheduler()
         self._push = self._scheduler.push
-        # The auto scheduler re-points the cached ``_push`` at its
-        # promoted implementation; give it the back-reference it needs.
-        bind = getattr(self._scheduler, "bind", None)
-        if bind is not None:
-            bind(self)
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Optional observers invoked as ``tracer(event, now)`` for every
@@ -119,7 +112,7 @@ class Environment:
 
     @property
     def scheduler(self):
-        """The active event scheduler (see :mod:`repro.des.queues`)."""
+        """The event scheduler (see :mod:`repro.des.queues`)."""
         return self._scheduler
 
     def add_tracer(self, tracer) -> None:

@@ -170,9 +170,7 @@ class KernelProfiler:
                 ),
                 "max": self._heap_max,
             },
-            # Scheduler's own operation counters (enqueues, dequeues,
-            # bucket resizes, max bucket occupancy) — the calendar
-            # queue's health at a glance.
+            # Scheduler's own operation counters (enqueues, dequeues).
             "queue": dict(self.env.scheduler.stats()),
         }
 
@@ -229,8 +227,6 @@ def _merge_queue(qa: Optional[dict], qb: Optional[dict]) -> dict:
         "impl": impl_a if impl_a == impl_b else f"{impl_a}+{impl_b}",
         "enqueues": qa.get("enqueues", 0) + qb.get("enqueues", 0),
         "dequeues": qa.get("dequeues", 0) + qb.get("dequeues", 0),
-        "resizes": qa.get("resizes", 0) + qb.get("resizes", 0),
-        "max_bucket": max(qa.get("max_bucket", 0), qb.get("max_bucket", 0)),
     }
 
 
@@ -252,9 +248,7 @@ def format_profile(profile: Optional[dict]) -> str:
         lines.append(
             f"  event queue [{queue.get('impl', '?')}]: "
             f"{queue.get('enqueues', 0):,} enqueues, "
-            f"{queue.get('dequeues', 0):,} dequeues, "
-            f"{queue.get('resizes', 0)} resizes, "
-            f"max bucket {queue.get('max_bucket', 0)}"
+            f"{queue.get('dequeues', 0):,} dequeues"
         )
     lines.append("  by event kind:")
     for kind, row in sorted(

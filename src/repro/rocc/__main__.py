@@ -168,6 +168,9 @@ def format_results(r: SimulationResults) -> str:
         if r.open_active_users == r.open_active_users:
             line += f", {r.open_active_users:.1f} users"
         lines.append(line)
+    fallback = r.observability.get("lp_fallback")
+    if fallback:
+        lines.append(f"LP fallback   : sequential kernel ({fallback})")
     return "\n".join(lines)
 
 

@@ -766,15 +766,19 @@ def simulate(
     ``lp_workers`` ≥ 2 requests the partitioned parallel kernel
     (default: the ``REPRO_DES_PARALLEL`` environment variable).
     Configurations the conservative protocol cannot handle — see
-    :func:`~repro.rocc.partition.parallel_ineligibility` — silently
-    fall back to the sequential kernel, so the knob is always safe to
-    set.
+    :func:`~repro.rocc.partition.parallel_ineligibility` — fall back to
+    the sequential kernel, so the knob is always safe to set; the
+    reason is recorded as ``results.observability["lp_fallback"]``.
     """
     if lp_workers is None:
         lp_workers = lp_workers_from_env()
-    if lp_workers is not None and lp_workers >= 2:
-        if parallel_ineligibility(config) is None:
-            from ..des.parallel import parallel_simulate
+    if lp_workers is None or lp_workers < 2:
+        return ParadynISSystem(config).run()
+    reason = parallel_ineligibility(config)
+    if reason is None:
+        from ..des.parallel import parallel_simulate
 
-            return parallel_simulate(config, lp_workers)
-    return ParadynISSystem(config).run()
+        return parallel_simulate(config, lp_workers)
+    results = ParadynISSystem(config).run()
+    results.observability["lp_fallback"] = reason
+    return results

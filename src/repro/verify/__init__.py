@@ -24,7 +24,6 @@ configurations over all of the above.
 from .differential import (
     check_bf_flush_noop,
     check_cache,
-    check_event_queue,
     check_fastpath,
     check_open_workload,
     check_parallel_kernel,
@@ -62,6 +61,5 @@ __all__ = [
     "check_bf_flush_noop",
     "check_open_workload",
     "check_resilient_engine",
-    "check_event_queue",
     "check_parallel_kernel",
 ]

@@ -13,9 +13,6 @@ but promise not to change *what* it computes:
   a non-empty batch, so enabling it must be a no-op;
 * the resilient engine — armed retries and a generous per-cell
   deadline around a run that needs neither must leave it untouched;
-* ``REPRO_DES_QUEUE`` — the calendar/ladder event schedulers vs the
-  reference binary heap (the schedule key is a total order, so every
-  correct priority queue must pop the identical sequence);
 * ``REPRO_DES_PARALLEL`` / ``lp_workers`` — the partitioned parallel
   kernel vs the sequential kernel (bit-identical up to a handful of
   re-associated float sums), including its sequential fallback on
@@ -53,7 +50,6 @@ __all__ = [
     "check_cache",
     "check_bf_flush_noop",
     "check_resilient_engine",
-    "check_event_queue",
     "check_parallel_kernel",
     "check_open_workload",
     "check_planner",
@@ -255,62 +251,6 @@ def check_resilient_engine(
             ),
             subject=_subject(config),
         ))
-    return out
-
-
-def check_event_queue(config: SimulationConfig) -> List[Violation]:
-    """Pluggable event schedulers are interchangeable.
-
-    The kernel's schedule entry is ``(time, priority, seq, event)`` with
-    a monotone unique ``seq``, so the comparison key is a *total* order
-    and any correct priority queue must pop entries in exactly the same
-    sequence.  This check runs the same configuration under
-    ``REPRO_DES_QUEUE=heap`` (the reference binary heap), ``calendar``,
-    ``ladder``, and ``auto`` (heap promoting to calendar mid-run) and
-    requires bit-identical results.
-
-    Beyond the plain run it repeats the calendar-vs-heap comparison on
-    the two variants whose dispatch is most order-sensitive: the
-    watchdog ``step()`` loop and a fault-injected run (daemon crash plus
-    recovery), where a single transposed pop would skew the whole
-    recovery timeline.
-    """
-    from ..faults.recovery import RecoveryPolicy
-    from ..faults.spec import DaemonCrash, FaultPlan
-
-    dur = config.duration
-    fault_cfg = config.with_(
-        faults=FaultPlan((
-            DaemonCrash(node=0, at=dur * 0.4, restart_after=dur * 0.1),
-        )),
-        recovery=RecoveryPolicy(max_retries=1),
-    )
-    out: List[Violation] = []
-
-    # Plain run: all three implementations against the heap reference.
-    ref = _simulate_with_env(config, "REPRO_DES_QUEUE", "heap")
-    for name in ("calendar", "ladder", "auto"):
-        alt = _simulate_with_env(config, "REPRO_DES_QUEUE", name)
-        diffs = diff_results(ref, alt)
-        if diffs:
-            out.append(_diff_violation(
-                "differential.event_queue", config, diffs,
-                f"REPRO_DES_QUEUE={name} vs heap",
-            ))
-
-    # Watchdog and fault-injection variants: default impl vs heap.
-    for what, cfg in (
-        ("watchdog", config.with_(max_events=1_000_000_000)),
-        ("fault injection", fault_cfg),
-    ):
-        ref = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "heap")
-        alt = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "calendar")
-        diffs = diff_results(ref, alt)
-        if diffs:
-            out.append(_diff_violation(
-                "differential.event_queue", cfg, diffs,
-                f"REPRO_DES_QUEUE=calendar vs heap under {what}",
-            ))
     return out
 
 
@@ -566,7 +506,6 @@ def differential_checks(
     out.extend(check_cache(config))
     out.extend(check_bf_flush_noop(config))
     out.extend(check_resilient_engine(config))
-    out.extend(check_event_queue(config))
     out.extend(check_parallel_kernel(config))
     out.extend(check_open_workload(config))
     out.extend(check_planner(config))

@@ -21,6 +21,23 @@ def test_negative_demand_rejected():
         mva([MVACenter("cpu", -1.0)], 1)
 
 
+@pytest.mark.parametrize("think, reason", [
+    (-1.0, "non-negative"),
+    (float("inf"), "finite"),
+    (float("nan"), "finite"),
+])
+def test_bad_think_time_rejected(think, reason):
+    with pytest.raises(ValueError, match=reason):
+        mva([MVACenter("cpu", 1.0)], 1, think_time=think)
+
+
+def test_subnormal_cycle_time_rejected():
+    with pytest.raises(ValueError, match="throughput non-finite"):
+        mva([MVACenter("cpu", 0.0)], 1, think_time=5e-324)
+    with pytest.raises(ValueError, match="throughput non-finite"):
+        mva([MVACenter("cpu", 0.0)], 3)
+
+
 def test_utilization_law_holds():
     centers = [MVACenter("cpu", 100.0), MVACenter("disk", 50.0)]
     res = mva(centers, 5)

@@ -17,7 +17,8 @@ Four families of properties:
 
 import math
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytical import (
@@ -291,12 +292,23 @@ center_lists = st.lists(
        population=st.integers(min_value=1, max_value=40),
        think=st.floats(min_value=0.0, max_value=100_000.0,
                        allow_nan=False, allow_infinity=False))
+# Regression: a subnormal think time with all-zero demands once gave
+# throughput = inf instead of a rejection.
+@example(spec=[(0.0, False)], population=1, think=5e-324)
 def test_mva_fixed_point_satisfies_littles_law(spec, population, think):
     centers = [
         MVACenter(name=f"c{i}", demand=d, delay=delay)
         for i, (d, delay) in enumerate(spec)
     ]
-    assume(think > 0 or any(d > 0 for d, _ in spec))
+    # With every demand zero the cycle time is Z alone, and N / Z is
+    # not finite when Z is zero or too small: mva() must reject that.
+    # Any positive demand is >= 0.01, which keeps every cycle finite.
+    if not any(d > 0 for d, _ in spec) and (
+        think == 0 or population / think == math.inf
+    ):
+        with pytest.raises(ValueError, match="throughput non-finite"):
+            mva(centers, population, think_time=think)
+        return
     res = mva(centers, population, think_time=think)
     # Fixed point: N = X·(Z + R) exactly (Little's law over the cycle).
     assert math.isclose(

@@ -84,6 +84,20 @@ def test_ineligible_config_falls_back(mpp_sequential, mpp_config):
     par = simulate(treed, lp_workers=4)
     assert diff_results(seq, par, ignore=("observability",)) == []
     assert "lp_workers" not in par.observability
+    assert "lp_fallback" not in seq.observability
+
+
+def test_fallback_reason_recorded_for_mpp_tree_cell():
+    """A 64-node MPP tree cell asked for 2 LPs says why it ran
+    sequentially."""
+    cfg = SimulationConfig(
+        architecture=Architecture.MPP, nodes=64,
+        forwarding=ForwardingTopology.TREE, duration=50_000.0, seed=5,
+    )
+    out = simulate(cfg, lp_workers=2)
+    assert out.observability["lp_fallback"].startswith("tree forwarding")
+    assert "lp_workers" not in out.observability
+    assert "lp_fallback" not in simulate(cfg, lp_workers=1).observability
 
 
 def test_window_env_knob(mpp_config, monkeypatch):

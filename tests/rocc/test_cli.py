@@ -94,6 +94,18 @@ class TestRoccCli:
                 main(["--lp-workers", bad, "--duration-s", "0.1"])
             assert "--lp-workers must be >= 1" in capsys.readouterr().err
 
+    def test_lp_fallback_reason_printed(self, capsys):
+        rc = main(["--arch", "mpp", "--nodes", "8", "--tree",
+                   "--lp-workers", "2", "--duration-s", "0.05"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "LP fallback   : sequential kernel (tree forwarding" in out
+
+    def test_no_lp_fallback_line_without_lp_request(self, capsys):
+        assert main(["--arch", "mpp", "--nodes", "8", "--tree",
+                     "--duration-s", "0.05"]) == 0
+        assert "LP fallback" not in capsys.readouterr().out
+
 
 class TestWorkloadCli:
     def test_generate_and_characterize(self, tmp_path, capsys):
