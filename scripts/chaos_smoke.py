@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Chaos smoke: injected worker kills + cache corruption + resume.
 
-End-to-end proof of the resilience layer (`repro.experiments.resilience`)
-against the chaos harness (`repro.experiments.chaos`), suitable for CI:
+End-to-end proof of the experiment engine's failure handling
+(`repro.experiments.engine`) against the chaos harness
+(`repro.experiments.chaos`), suitable for CI:
 
 1. **Reference** — a 16-cell sweep on a plain serial engine, no cache:
-   the ground truth every resilient run must reproduce bit-identically.
-2. **Chaos sweep** — the same 16 cells on a 4-worker resilient engine
+   the ground truth every disturbed run must reproduce bit-identically.
+2. **Chaos sweep** — the same 16 cells on a 4-worker retrying engine
    with 3 injected worker SIGKILLs and 1 corrupted on-disk cache entry.
    The run must complete via retries/quarantine with identical results.
 3. **Interrupted sweep + resume** — the first 10 cells are journaled,
@@ -40,7 +41,7 @@ from repro.experiments.engine import (
     config_fingerprint,
     results_equal,
 )
-from repro.experiments.resilience import ResilientEngine, RetryPolicy
+from repro.experiments.resilience import RetryPolicy
 from repro.rocc.config import SimulationConfig
 
 CELLS = 16
@@ -88,7 +89,7 @@ def main() -> int:
             parent_pid=os.getpid(),
         )
         t0 = time.time()
-        with ResilientEngine(
+        with ExperimentEngine(
             workers=4,
             cache=cache,
             retry=RetryPolicy(max_attempts=3),
@@ -125,12 +126,12 @@ def main() -> int:
 
         print(f"[3/3] interrupted sweep + journal resume")
         journal = tmp / "run.jsonl"
-        with ResilientEngine(
+        with ExperimentEngine(
             workers=2, cache=CellCache(enabled=False), journal=journal
         ) as first:
             first.run_cells(cells[:RESUME_PREFIX])
         interrupted_runs = first.stats.cells_run
-        with ResilientEngine(
+        with ExperimentEngine(
             workers=2, cache=CellCache(enabled=False), journal=journal
         ) as second:
             resumed = second.run_cells(cells)

@@ -44,7 +44,6 @@ from .reporting import (
 )
 from .resilience import (
     FailureReport,
-    ResilientEngine,
     RetryPolicy,
     RunJournal,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MeanResults",
     "CellError",
     "ExperimentEngine",
-    "ResilientEngine",
     "RetryPolicy",
     "RunJournal",
     "FailureReport",

@@ -152,8 +152,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ids == ["all"]:
         ids = [e.id for e in list_experiments()]
 
-    from .engine import CellCache, use_engine
-    from .resilience import ResilientEngine, RetryPolicy
+    from .engine import CellCache, ExperimentEngine, use_engine
+    from .resilience import RetryPolicy
 
     if args.profile:
         import os
@@ -212,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             workload.validate()
         except ValueError as exc:
             parser.error(str(exc))
-    engine = ResilientEngine(
+    engine = ExperimentEngine(
         workers=args.workers,
         lp_workers=lp_workers,
         cache=(

@@ -1,4 +1,4 @@
-"""Chaos harness: prove the resilience layer against injected faults.
+"""Chaos harness: prove the engine's failure handling against injected faults.
 
 The chaos harness attacks the *execution* layer — the host-side worker
 pool, cell scheduling, and on-disk cache — as opposed to
@@ -19,7 +19,7 @@ deterministically targeted by cell fingerprint:
 Each fault fires exactly once per cell: the first attempt claims a
 marker file in :attr:`ChaosPlan.state_dir` (atomic ``open(..., "x")``,
 so it works across processes), and retries run clean.  That makes every
-chaos scenario deterministic: a resilient engine must converge to the
+chaos scenario deterministic: the engine must converge to the
 exact same results as an undisturbed run.
 
 :func:`corrupt_cache_entry` complements the runtime faults by damaging
@@ -63,11 +63,11 @@ class ChaosKilled(RuntimeError):
 def chaos_key(config, aggregated: bool = False) -> str:
     """Deadline-insensitive fingerprint used to target chaos faults.
 
-    A resilient engine rewrites ``max_wall_seconds`` on the config it
-    ships to workers (the cell deadline), which would change the plain
-    cache fingerprint; chaos targeting must hit the same cell whether or
-    not a deadline is armed, so the watchdog fields are pinned to None
-    before fingerprinting.
+    An engine with a ``cell_timeout`` rewrites ``max_wall_seconds`` on
+    the config it ships to workers (the cell deadline), which would
+    change the plain cache fingerprint; chaos targeting must hit the
+    same cell whether or not a deadline is armed, so the watchdog
+    fields are pinned to None before fingerprinting.
     """
     return config_fingerprint(
         config.with_(max_wall_seconds=None), aggregated

@@ -8,16 +8,41 @@ both properties:
 
 * **Scheduling** — cells submitted through :meth:`ExperimentEngine.run_cells`
   fan out across a process pool (``workers > 1``) or run inline
-  (``workers=1``, the serial fallback, which preserves the historical
-  fail-fast behavior exactly).  Failures ship back as picklable
-  :class:`CellError` artifacts, so ``isolate=True`` semantics survive
-  the process boundary — including workers killed mid-cell.
+  (``workers=1``, fail-fast: after a failure later cells never start).
+  Failures ship back as picklable :class:`CellError` artifacts, so
+  ``isolate=True`` semantics survive the process boundary.  A worker
+  killed mid-cell breaks the pool; the cells lost with it are requeued
+  on a fresh pool, and after ``degrade_after`` pool failures the engine
+  demotes itself to serial execution, which cannot lose workers.
 * **Memoization** — a :class:`CellCache` keys finished
   :class:`~repro.rocc.metrics.SimulationResults` by a stable content
   fingerprint of the config (every dataclass field, nested cost models,
   distributions, fault plan, replication index) salted with a hash of
   the simulation source code, so re-running a sweep or benchmark
   recomputes only cells whose inputs or code actually changed.
+* **Deadlines** — ``cell_timeout`` arms the kernel watchdog inside the
+  worker (``max_wall_seconds``), so a runaway cell aborts itself with
+  :class:`~repro.des.SimulationStalled`.  A worker hung outside the
+  kernel is caught by a parent-side wait guard and its pool is torn
+  down.
+* **Retries** — a :class:`~repro.experiments.resilience.RetryPolicy`
+  re-runs transient failures (stalls, deadline breaches, injected
+  faults) with exponential backoff and deterministic jitter.  The
+  default is ``RetryPolicy.none()``: every first failure is final.
+  Cells are deterministic, so a retry that succeeds is
+  indistinguishable from a first-attempt success.
+* **Checkpoint/resume** — a
+  :class:`~repro.experiments.resilience.RunJournal` records every
+  attempt, success and final failure by cell fingerprint; re-running
+  with the same journal serves completed cells without simulating them.
+  With ``strict=False`` a sweep always returns (partial results plus
+  :attr:`ExperimentEngine.failure_report`) instead of raising.
+
+Counters (``engine.retries``, ``engine.cell_timeouts``,
+``engine.pool_resets``, ``engine.cache_corrupt``) are published through
+the :mod:`repro.obs` metrics registry, and every attempt runs under a
+span when tracing is enabled.  The chaos harness in
+:mod:`repro.experiments.chaos` injects the failure modes.
 
 Environment knobs:
 
@@ -35,6 +60,7 @@ import pickle
 import time
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as _FuturesTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -58,6 +84,7 @@ from ..rocc.aggregate import simulate_aggregated
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
 from ..rocc.system import simulate
+from .resilience import CellTimeout, FailureReport, RetryPolicy, RunJournal
 
 __all__ = [
     "CellError",
@@ -112,7 +139,7 @@ class CellError:
 class EngineCellError(RuntimeError):
     """Raised (non-isolated runs) when a worker's exception cannot be
     re-raised verbatim in the parent — e.g. an unpicklable exception
-    type or a worker process that died mid-cell."""
+    type."""
 
     def __init__(self, cell_error: CellError):
         self.cell_error = cell_error
@@ -360,8 +387,8 @@ class EngineStats:
     cells_run: int = 0
     cache_hits: int = 0
     cell_errors: int = 0
-    #: Extra attempts executed by a resilient engine (beyond each cell's
-    #: first), including re-runs after pool breakage.
+    #: Extra attempts beyond each cell's first: re-runs under the retry
+    #: policy plus requeues of cells lost when a worker broke the pool.
     retries: int = 0
     #: Cells that exceeded their wall-clock deadline (in-worker watchdog
     #: or the parent-side wait guard).
@@ -551,21 +578,66 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
 # The engine
 # ---------------------------------------------------------------------------
 
+#: The parent-side wait guard for a pool cell is ``cell_timeout ×
+#: _DEADLINE_GRACE + 2`` seconds: long enough that the in-worker watchdog
+#: always fires first, so the guard only catches workers hung outside
+#: the kernel.
+_DEADLINE_GRACE = 3.0
+
+# Module-cached instruments (registry().reset() zeroes them in place,
+# so the references stay valid across test isolation).
+_RETRIES = obs_registry().counter(
+    "engine.retries", "cell re-executions scheduled by the engine"
+)
+_TIMEOUTS = obs_registry().counter(
+    "engine.cell_timeouts", "cells that exceeded their wall-clock deadline"
+)
+_ATTEMPT_SECONDS = obs_registry().histogram(
+    "engine.attempt_seconds", "wall seconds per executed cell attempt"
+)
+_BATCH_SECONDS = obs_registry().histogram(
+    "engine.batch_seconds", "wall seconds per run_cells batch"
+)
+
 
 class ExperimentEngine:
     """Schedules simulation cells over workers, memoized by content.
 
     ``workers=1`` (the default, or ``REPRO_WORKERS`` unset) executes
-    inline with fail-fast semantics identical to the historical serial
-    loops; ``workers=N`` fans cells out over a lazily created
-    :class:`~concurrent.futures.ProcessPoolExecutor` that is reused
-    across batches until :meth:`close`.
+    inline with fail-fast semantics; ``workers=N`` fans cells out over a
+    lazily created :class:`~concurrent.futures.ProcessPoolExecutor` that
+    is reused across batches until :meth:`close`.
+
+    Failure handling (see the module docstring):
+
+    * ``retry`` — the :class:`RetryPolicy` for failures inside a cell.
+    * ``cell_timeout`` — per-cell wall-clock deadline, seconds.
+    * ``journal`` — a :class:`RunJournal` (or a path) to checkpoint into
+      and resume from.
+    * ``strict`` — when False, a cell that exhausts its attempts is
+      returned as a :class:`CellError` artifact (the partial-results
+      contract of ``isolate=True``) and recorded in
+      :attr:`failure_report` instead of raising.
+    * ``degrade_after`` — pool failures tolerated before the engine
+      demotes itself to serial in-process execution.
+
+    Attempt accounting: a failure *inside* a cell (exception, watchdog
+    stall, deadline breach) consumes one of the cell's attempts.  Pool
+    shrapnel — sibling futures that die with ``BrokenProcessPool`` or
+    are cancelled because some *other* cell broke the pool — is requeued
+    without consuming the victim cells' budgets, and is bounded by
+    ``degrade_after`` instead.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[CellCache] = None,
                  stats: Optional[EngineStats] = None,
-                 lp_workers: Union[int, str, None] = None):
+                 lp_workers: Union[int, str, None] = None,
+                 retry: RetryPolicy = RetryPolicy.none(),
+                 cell_timeout: Optional[float] = None,
+                 journal: Union[RunJournal, str, Path, None] = None,
+                 strict: bool = True,
+                 degrade_after: int = 3):
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
         if workers < 1:
@@ -574,6 +646,10 @@ class ExperimentEngine:
             raise ValueError("lp_workers must be an int, 'auto', or None")
         if isinstance(lp_workers, int) and lp_workers < 1:
             raise ValueError("lp_workers must be >= 1")
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ValueError("cell_timeout must be positive (or None)")
+        if degrade_after < 1:
+            raise ValueError("degrade_after must be >= 1")
         self.workers = workers
         #: In-cell LP parallelism: an LP count applied to every eligible
         #: cell, ``"auto"`` to partition big cells when cores allow, or
@@ -584,6 +660,16 @@ class ExperimentEngine:
         self.cache = cache if cache is not None else CellCache()
         self.stats = stats if stats is not None else EngineStats(workers=workers)
         self.stats.workers = workers
+        self.retry = retry
+        self.cell_timeout = cell_timeout
+        self.journal = (
+            journal if isinstance(journal, RunJournal) or journal is None
+            else RunJournal(journal)
+        )
+        self.strict = strict
+        self.degrade_after = degrade_after
+        self.failure_report = FailureReport()
+        self._pool_failures = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         #: The picklable callable executed per cell.  The chaos harness
         #: (:mod:`repro.experiments.chaos`) swaps in a fault-injecting
@@ -597,10 +683,12 @@ class ExperimentEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and close the journal (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        if self.journal is not None:
+            self.journal.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -617,12 +705,11 @@ class ExperimentEngine:
     ) -> List[Union[SimulationResults, CellError]]:
         """Run every cell, returning outcomes in submission order.
 
-        Cached cells are served from the :class:`CellCache` without
-        executing; the rest run inline (``workers=1``) or on the pool.
-        Failures become :class:`CellError` entries under ``isolate=True``
-        and raise otherwise — the original exception when picklable,
-        :class:`EngineCellError` when not (e.g. a worker killed
-        mid-cell, which surfaces as ``BrokenProcessPool``).
+        Journaled and cached cells are served without executing; the
+        rest run inline (``workers=1``) or on the pool.  Failures become
+        :class:`CellError` entries under ``isolate=True`` or
+        ``strict=False`` and raise otherwise — the original exception
+        when picklable, :class:`EngineCellError` when not.
         """
         configs = list(configs)
         t_start = time.perf_counter()
@@ -632,14 +719,18 @@ class ExperimentEngine:
                 "run_cells", cat="engine.batch",
                 args={"cells": len(configs), "workers": self.workers},
             ) as span:
-                outcomes = self._run_cells(configs, aggregated, isolate)
+                outcomes = self._run_cells(
+                    configs, aggregated, isolate or not self.strict
+                )
                 if span is not None:
                     span.args["cache_hits"] = (
                         self.stats.cache_hits - hits_before
                     )
                 return outcomes
         finally:
-            self.stats.wall_time += time.perf_counter() - t_start
+            elapsed = time.perf_counter() - t_start
+            self.stats.wall_time += elapsed
+            _BATCH_SECONDS.observe(elapsed)
 
     def _run_cells(self, configs, aggregated, isolate):
         self.stats.cells_submitted += len(configs)
@@ -648,27 +739,14 @@ class ExperimentEngine:
         misses: List[Tuple[int, SimulationConfig, Optional[str]]] = []
         for i, config in enumerate(configs):
             key = self._fingerprint(config, aggregated)
-            hit = self._lookup(config, key)
+            hit = self._lookup(key)
             if hit is not None:
                 outcomes[i] = hit
             else:
                 misses.append((i, config, key))
 
-        tracer = current_tracer()
-        own_pid = os.getpid()
         for i, key, out in self._execute(misses, aggregated, isolate):
             self.stats.cells_run += 1
-            self.stats.cell_wall_time += out.wall
-            self.stats.cell_cpu_time += out.cpu
-            if tracer is not None and out.trace is not None:
-                tracer.merge(out.trace)
-            if out.metrics and out.pid != own_pid:
-                # Inline cells already published into this registry;
-                # only foreign (worker) deltas need folding in.
-                obs_registry().merge_snapshot(out.metrics)
-            if out.profile is not None:
-                self.stats.profile = merge_profiles(self.stats.profile, out.profile)
-                self.stats.sim_events += out.profile["events"]
             if out.ok:
                 outcomes[i] = out.result
                 if key:
@@ -682,7 +760,7 @@ class ExperimentEngine:
             outcomes[i] = out.error
         return outcomes
 
-    # -- seams (overridden by the resilience layer) --------------------
+    # -- keys and lookup -----------------------------------------------
     def _lp_workers_for(self, config: SimulationConfig,
                         aggregated: bool) -> Optional[int]:
         """Resolve the in-cell LP count for one cell, or ``None``.
@@ -714,22 +792,30 @@ class ExperimentEngine:
 
     def _fingerprint(self, config: SimulationConfig,
                      aggregated: bool) -> Optional[str]:
-        """Content key of one cell, or None when nothing will use it."""
-        if not self.cache.enabled:
+        """Content key of one cell, or None when nothing will use it
+        (no cache and no journal)."""
+        if not self.cache.enabled and self.journal is None:
             return None
         key = config_fingerprint(config, aggregated)
         lp = self._lp_workers_for(config, aggregated)
-        if lp is not None and lp >= 2:
+        if lp is not None:
             # A partitioned run may differ from the sequential one in
             # the last ulp of a few re-associated float sums; keep the
-            # two result streams cache-separate.
+            # two result streams cache- and journal-separate.
             key = hashlib.sha256(f"{key}|lp{lp}".encode()).hexdigest()
         return key
 
-    def _lookup(self, config: SimulationConfig,
-                key: Optional[str]) -> Optional[SimulationResults]:
-        """Serve a cell without executing it (cache hit), else None."""
-        if key is None or not self.cache.enabled:
+    def _lookup(self, key: Optional[str]) -> Optional[SimulationResults]:
+        """Serve a cell without executing it — from the journal, else
+        the cache — or return None."""
+        if key is None:
+            return None
+        if self.journal is not None:
+            result = self.journal.result_for(key)
+            if result is not None:
+                self.stats.cells_resumed += 1
+                return result
+        if not self.cache.enabled:
             return None
         corrupt_before = self.cache.corrupt_entries
         hit = self.cache.get(key)
@@ -738,51 +824,222 @@ class ExperimentEngine:
             self.stats.cache_hits += 1
         return hit
 
+    # -- attempts --------------------------------------------------------
     def _execute(
         self, misses, aggregated: bool, isolate: bool
     ) -> Iterator[Tuple[int, Optional[str], _CellOutcome]]:
-        if not misses:
-            return
+        """Run the cache misses; yields ``(index, key, final outcome)``."""
         traced = tracing_enabled()
-        if self.workers == 1 or len(misses) == 1:
-            for i, config, key in misses:
-                out = self._run_inline(config, aggregated, traced)
-                yield i, key, out
-                if not out.ok and not isolate:
-                    return  # fail fast: later cells never start
-            return
-        pool = self._ensure_pool()
-        futures = [
-            (i, config, key,
-             pool.submit(self.cell_runner,
-                         self._payload(config, aggregated, traced)))
-            for i, config, key in misses
-        ]
-        for i, config, key, future in futures:
-            try:
-                out = future.result()
-            except BaseException as exc:
-                # The worker died (BrokenProcessPool) or the outcome
-                # could not cross the boundary; synthesize an artifact.
-                if isinstance(exc, KeyboardInterrupt):
-                    raise
-                self._reset_broken_pool()
-                out = _CellOutcome(
-                    ok=False, error=CellError.from_exception(config, exc),
-                    exc=exc,
-                )
-            yield i, key, out
-
-    def _run_inline(self, config: SimulationConfig, aggregated: bool,
-                    traced: bool) -> _CellOutcome:
-        """One inline cell; exceptions from a swapped-in ``cell_runner``
-        (chaos wrappers raise by design) become failure artifacts."""
-        try:
-            return self.cell_runner(self._payload(config, aggregated, traced))
-        except Exception as exc:
-            return _CellOutcome(
-                ok=False, error=CellError.from_exception(config, exc), exc=exc
+        pending = [(i, config, key, 1) for i, config, key in misses]
+        while pending:
+            if self.workers == 1 or len(pending) == 1:
+                for i, config, key, attempt in pending:
+                    out, attempt = self._serial_attempts(
+                        config, key, aggregated, traced, attempt
+                    )
+                    self._finalize(config, key, out, attempt)
+                    yield i, key, out
+                    if not out.ok and not isolate:
+                        return  # fail fast: later cells never start
+                return
+            pending, delay = yield from self._pool_round(
+                pending, aggregated, traced
             )
+            if pending and delay > 0.0:
+                time.sleep(delay)
+
+    def _serial_attempts(self, config, key, aggregated, traced,
+                         attempt: int) -> Tuple[_CellOutcome, int]:
+        """Run one cell inline until success or the policy gives up;
+        returns the final outcome and its attempt number."""
+        while True:
+            self._journal_attempt(key, attempt)
+            with maybe_span(
+                "attempt", cat="engine.attempt",
+                args={"attempt": attempt, "key": (key or "")[:12]},
+            ):
+                try:
+                    out = self.cell_runner(self._payload(
+                        self._with_deadline(config), aggregated, traced
+                    ))
+                except Exception as exc:
+                    # Chaos wrappers swapped into cell_runner raise by
+                    # design; the stock runner never does.
+                    out = _CellOutcome(
+                        ok=False, error=CellError.from_exception(config, exc),
+                        exc=exc,
+                    )
+            self._book(out)
+            if not self._retrying(out, key, attempt):
+                return out, attempt
+            time.sleep(self.retry.delay(attempt, key or ""))
+            attempt += 1
+
+    def _pool_round(self, pending, aggregated, traced):
+        """One parallel wave over *pending*; yields finished cells and
+        returns ``(still_pending, backoff_delay)``."""
+        pool = self._ensure_pool()
+        futures = []
+        for item in pending:
+            i, config, key, attempt = item
+            self._journal_attempt(key, attempt)
+            futures.append((item, pool.submit(
+                self.cell_runner,
+                self._payload(self._with_deadline(config), aggregated, traced),
+            )))
+        next_pending: List[Tuple] = []
+        delay = 0.0
+        pool_failed = False
+        for (i, config, key, attempt), future in futures:
+            with maybe_span(
+                "attempt", cat="engine.attempt",
+                args={"attempt": attempt, "key": (key or "")[:12]},
+            ) as span:
+                try:
+                    # Once the pool is known broken, the remaining
+                    # futures fail (or were cancelled) immediately —
+                    # keep a short guard instead of a full deadline wait.
+                    wait = 15.0 if pool_failed else self._wait_timeout()
+                    out = future.result(timeout=wait)
+                except KeyboardInterrupt:
+                    raise
+                except _FuturesTimeout:
+                    # The worker is hung somewhere the in-worker
+                    # watchdog cannot reach; kill the pool and charge
+                    # this cell.
+                    out = self._timeout_outcome(config)
+                    self._note_pool_failure(hard=True)
+                    pool_failed = True
+                except BaseException:
+                    # Worker death (BrokenProcessPool) or post-reset
+                    # cancellation: pool-level shrapnel.  Requeue
+                    # without consuming the cell's attempt budget —
+                    # bounded by degrade_after, not the retry policy.
+                    if not pool_failed:
+                        self._note_pool_failure(hard=False)
+                        pool_failed = True
+                    self._count_retry(key, attempt, "BrokenProcessPool")
+                    next_pending.append((i, config, key, attempt))
+                    if span is not None:
+                        span.args["requeued"] = True
+                    continue
+                if span is not None:
+                    span.args["ok"] = out.ok
+            self._book(out)
+            if self._retrying(out, key, attempt):
+                delay = max(delay, self.retry.delay(attempt, key or ""))
+                next_pending.append((i, config, key, attempt + 1))
+            else:
+                self._finalize(config, key, out, attempt)
+                yield i, key, out
+        return next_pending, delay
+
+    # -- accounting ------------------------------------------------------
+    def _book(self, out: _CellOutcome) -> None:
+        """Account one executed attempt, final or retried: its wall/CPU
+        time, spans, metrics delta and kernel profile."""
+        _ATTEMPT_SECONDS.observe(out.wall)
+        self.stats.cell_wall_time += out.wall
+        self.stats.cell_cpu_time += out.cpu
+        tracer = current_tracer()
+        if tracer is not None and out.trace is not None:
+            tracer.merge(out.trace)
+        if out.metrics and out.pid != os.getpid():
+            # Inline cells already published into this registry;
+            # only foreign (worker) deltas need folding in.
+            obs_registry().merge_snapshot(out.metrics)
+        if out.profile is not None:
+            self.stats.profile = merge_profiles(self.stats.profile, out.profile)
+            self.stats.sim_events += out.profile["events"]
+
+    def _retrying(self, out: _CellOutcome, key: Optional[str],
+                  attempt: int) -> bool:
+        """Whether a finished attempt gets another try (counted if so)."""
+        if out.ok:
+            return False
+        if self.retry.error_class(out.error) in ("CellTimeout",
+                                                 "SimulationStalled"):
+            self.stats.cell_timeouts += 1
+            self.failure_report.cell_timeouts += 1
+            _TIMEOUTS.inc()
+        if not self.retry.should_retry(out.error, attempt):
+            return False
+        self._count_retry(key, attempt, out.error.error)
+        return True
+
+    def _count_retry(self, key: Optional[str], attempt: int,
+                     error: str) -> None:
+        self.stats.retries += 1
+        self.failure_report.retries += 1
+        _RETRIES.inc()
+        if self.journal is not None:
+            self.journal.record_retry(key, attempt, error.splitlines()[0])
+
+    def _journal_attempt(self, key: Optional[str], attempt: int) -> None:
+        if self.journal is not None:
+            self.journal.record_attempt(key, attempt)
+
+    def _finalize(self, config: SimulationConfig, key: Optional[str],
+                  out: _CellOutcome, attempt: int) -> None:
+        """Journal and failure-report bookkeeping for a final outcome."""
+        if out.ok:
+            if self.journal is not None:
+                self.journal.record_success(
+                    key, out.result, attempt=attempt, wall=out.wall
+                )
+            return
+        if self.journal is not None:
+            self.journal.record_failure(
+                key, attempt, out.error.error.splitlines()[0]
+            )
+        self.failure_report.add(config, key, attempt, out.error)
+
+    # -- deadlines and pool failures -------------------------------------
+    def _with_deadline(self, config: SimulationConfig) -> SimulationConfig:
+        if self.cell_timeout is None:
+            return config
+        current = config.max_wall_seconds
+        deadline = (
+            self.cell_timeout if current is None
+            else min(current, self.cell_timeout)
+        )
+        if current == deadline:
+            return config
+        return config.with_(max_wall_seconds=deadline)
+
+    def _wait_timeout(self) -> Optional[float]:
+        if self.cell_timeout is None:
+            return None
+        return self.cell_timeout * _DEADLINE_GRACE + 2.0
+
+    def _timeout_outcome(self, config: SimulationConfig) -> _CellOutcome:
+        exc = CellTimeout(
+            f"cell exceeded its wall-clock deadline of "
+            f"{self.cell_timeout}s (worker unresponsive; pool reset)"
+        )
+        return _CellOutcome(
+            ok=False, error=CellError.from_exception(config, exc), exc=exc
+        )
+
+    def _note_pool_failure(self, hard: bool) -> None:
+        self._pool_failures += 1
+        if hard and self._pool is not None:
+            # The workers may be hung, not just dead: terminate them
+            # before shutting the executor down.
+            for proc in list((getattr(self._pool, "_processes", None)
+                              or {}).values()):
+                try:
+                    proc.terminate()
+                except Exception:
+                    pass
+        self._reset_broken_pool()
+        self.failure_report.pool_resets = self.stats.pool_resets
+        if self._pool_failures >= self.degrade_after and self.workers > 1:
+            # Graceful degradation: the pool keeps dying under us, so
+            # stop using one.  Serial execution cannot lose workers.
+            self.workers = 1
+            self.stats.workers = 1
+            self.failure_report.degraded_to_serial = True
 
     def _reset_broken_pool(self) -> None:
         if self._pool is not None:

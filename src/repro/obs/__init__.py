@@ -21,7 +21,6 @@ from .metrics import (
     MetricsRegistry,
     diff_snapshots,
     registry,
-    timed,
 )
 from .spans import (
     SIM,
@@ -61,7 +60,6 @@ __all__ = [
     "sim_track_pid",
     "start_tracing",
     "stop_tracing",
-    "timed",
     "summarize",
     "trace_events",
     "trace_path_from_env",

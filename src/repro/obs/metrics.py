@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "MetricsRegistry",
     "registry",
     "diff_snapshots",
-    "timed",
 ]
 
 
@@ -275,21 +272,6 @@ def diff_snapshots(before: Dict[str, dict], after: Dict[str, dict]) -> Dict[str,
                     "bucket_counts": counts,
                 }
     return out
-
-
-@contextmanager
-def timed(histogram: Histogram):
-    """Observe a block's wall-clock duration (seconds) into *histogram*.
-
-    The observation is recorded even when the block raises, so failure
-    paths (retried cell attempts, aborted batches) stay visible in the
-    latency distribution.
-    """
-    t0 = perf_counter()
-    try:
-        yield histogram
-    finally:
-        histogram.observe(perf_counter() - t0)
 
 
 _REGISTRY = MetricsRegistry()

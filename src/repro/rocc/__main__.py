@@ -182,10 +182,27 @@ _PLAN_METRICS = (
 )
 
 
+def _cli_engine(args):
+    """The engine behind both run paths: serial, deadlines, retries and
+    journal resume from the flags."""
+    from ..experiments.engine import CellCache, ExperimentEngine
+    from ..experiments.resilience import RetryPolicy
+
+    return ExperimentEngine(
+        workers=1,
+        lp_workers=args.lp_workers,
+        # No memoization surprises for a CLI one-off: completed runs are
+        # only reused when the user opts into a --resume journal.
+        cache=CellCache(enabled=False),
+        retry=RetryPolicy(max_attempts=args.max_retries + 1),
+        cell_timeout=args.cell_timeout,
+        journal=args.resume,
+        strict=args.strict,
+    )
+
+
 def _planned_run(args, config) -> int:
     """--plan path: adaptive replication of the one configuration."""
-    from ..experiments.engine import CellCache
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
     from ..planner import (
         ReplicationBudget,
         ReplicationPolicy,
@@ -201,15 +218,7 @@ def _planned_run(args, config) -> int:
         max_replications=cap,
     )
     budget = ReplicationBudget(total=args.budget)
-    with ResilientEngine(
-        workers=1,
-        lp_workers=args.lp_workers,
-        cache=CellCache(enabled=False),
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        cell_timeout=args.cell_timeout,
-        journal=args.resume,
-        strict=args.strict,
-    ) as engine:
+    with _cli_engine(args) as engine:
         res = adaptive_replicate(
             config, policy, budget,
             aggregated=args.aggregated, engine=engine,
@@ -246,23 +255,12 @@ def _planned_run(args, config) -> int:
 
 
 def _resilient_run(args, config):
-    """Run the single cell through a :class:`ResilientEngine` so the
-    CLI gets deadlines, retries, and journal resume; returns
+    """Run the single cell through the CLI engine so it gets deadlines,
+    retries, and journal resume; returns
     ``(results_or_None, failure_report)``."""
-    from ..experiments.engine import CellCache, CellError
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
+    from ..experiments.engine import CellError
 
-    with ResilientEngine(
-        workers=1,
-        lp_workers=args.lp_workers,
-        # No memoization surprises for a CLI one-off: completed runs are
-        # only reused when the user opts into a --resume journal.
-        cache=CellCache(enabled=False),
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        cell_timeout=args.cell_timeout,
-        journal=args.resume,
-        strict=args.strict,
-    ) as engine:
+    with _cli_engine(args) as engine:
         (outcome,) = engine.run_cells([config], aggregated=args.aggregated)
         if engine.stats.profile is not None:
             # _run_cell consumed the kernel profile; republish it so the

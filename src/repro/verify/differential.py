@@ -209,15 +209,16 @@ def check_bf_flush_noop(config: SimulationConfig) -> List[Violation]:
 def check_resilient_engine(
     config: SimulationConfig, repetitions: int = 2
 ) -> List[Violation]:
-    """Plain engine vs :class:`ResilientEngine` with the machinery armed.
+    """Default engine vs. the same engine with retries and a deadline armed.
 
     Retries, the per-cell deadline (set far above what the run needs),
     and the attempt accounting wrap *around* the simulation; a healthy
     run must come out bit-identical.  Together with ``check_watchdog``
-    this licenses the resilience layer's core assumption: re-executing a
-    cell under a deadline yields the same results as the first try.
+    this licenses the core assumption of the engine's retry path:
+    re-executing a cell under a deadline yields the same results as the
+    first try.
     """
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
+    from ..experiments.resilience import RetryPolicy
 
     reps = [
         config.with_(replication=config.replication + i)
@@ -226,7 +227,7 @@ def check_resilient_engine(
     no_cache = CellCache(enabled=False)
     with ExperimentEngine(workers=1, cache=no_cache) as plain:
         expected = plain.run_cells(reps)
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1,
         cache=no_cache,
         retry=RetryPolicy(max_attempts=3),
@@ -239,7 +240,7 @@ def check_resilient_engine(
         if diffs:
             out.append(_diff_violation(
                 "differential.resilience", reps[i], diffs,
-                f"running replication {i} on the resilient engine",
+                f"running replication {i} with retries and a deadline armed",
             ))
     if resilient.stats.retries or resilient.stats.cell_timeouts:
         out.append(Violation(

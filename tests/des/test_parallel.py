@@ -3,11 +3,7 @@
 import pytest
 
 from repro.experiments.engine import CellCache, ExperimentEngine
-from repro.experiments.resilience import (
-    DEFAULT_TRANSIENT,
-    ResilientEngine,
-    RetryPolicy,
-)
+from repro.experiments.resilience import DEFAULT_TRANSIENT, RetryPolicy
 from repro.des.parallel import LPWorkerLost, parallel_simulate
 from repro.rocc import Architecture, ForwardingTopology, SimulationConfig, simulate
 from repro.rocc.config import NetworkMode
@@ -139,11 +135,11 @@ def test_resilient_engine_retries_killed_lp_worker(
     mpp_config, mpp_sequential, tmp_path, monkeypatch
 ):
     """An LP worker SIGKILLed mid-window: the cell fails with
-    LPWorkerLost, the resilient engine retries, and the second attempt
+    LPWorkerLost, the retrying engine runs it again, and the second attempt
     (chaos marker present) reproduces the sequential results."""
     marker = tmp_path / "lp-kill-retried"
     monkeypatch.setenv("REPRO_CHAOS_LP_KILL", str(marker))
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1,
         cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
@@ -167,15 +163,24 @@ def test_engine_auto_stays_sequential_for_small_cells(
                         ignore=("observability",)) == []
 
 
-def test_engine_fingerprint_separates_parallel_results(mpp_config):
+def test_engine_fingerprint_separates_parallel_results(mpp_config, tmp_path):
     seq_engine = ExperimentEngine(workers=1, cache=CellCache(enabled=True))
     par_engine = ExperimentEngine(
         workers=1, cache=CellCache(enabled=True), lp_workers=4
     )
+    # A journal needs keys even with the cache off; they must carry the
+    # same LP salt, or --resume would mix partitioned and sequential runs.
+    journal_engine = ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), lp_workers=4,
+        journal=tmp_path / "run.jsonl",
+    )
     try:
         a = seq_engine._fingerprint(mpp_config, False)
         b = par_engine._fingerprint(mpp_config, False)
+        c = journal_engine._fingerprint(mpp_config, False)
         assert a != b
+        assert c == b
     finally:
         seq_engine.close()
         par_engine.close()
+        journal_engine.close()

@@ -1,7 +1,7 @@
-"""Chaos-harness tests: the resilient engine under injected faults.
+"""Chaos-harness tests: the experiment engine under injected faults.
 
 Every scenario asserts convergence: whatever the harness kills, hangs,
-or corrupts, the resilient engine must end up with results
+or corrupts, the engine must end up with results
 bit-identical to an undisturbed serial run — the same determinism bar
 as the plain engine tests, held under fire.
 """
@@ -13,7 +13,6 @@ import pytest
 from repro.experiments import (
     CellCache,
     ExperimentEngine,
-    ResilientEngine,
     RetryPolicy,
     config_fingerprint,
     results_equal,
@@ -78,7 +77,7 @@ def test_broken_process_pool_mid_batch_recovers(cfg, tmp_path):
         kill_once=(chaos_key(cells[1]),),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
     ) as engine:
@@ -90,6 +89,27 @@ def test_broken_process_pool_mid_batch_recovers(cfg, tmp_path):
     assert engine.stats.pool_resets >= 1
     assert engine.stats.retries >= 1
     assert "pool reset" in engine.stats.summary()
+
+
+def test_default_engine_recovers_from_worker_kill(cfg, tmp_path):
+    """A default engine (no retries) survives one worker SIGKILL: the
+    cells lost with the pool are requeued on a fresh one and the batch
+    finishes bit-identical to a serial run."""
+    cells = [cfg.with_(replication=i) for i in range(4)]
+    reference = _reference(cells)
+    plan = ChaosPlan(
+        state_dir=str(tmp_path / "state"),
+        kill_once=(chaos_key(cells[1]),),
+        parent_pid=os.getpid(),
+    )
+    with ExperimentEngine(workers=2, cache=CellCache(enabled=False)) as engine:
+        install_chaos(engine, plan)
+        out = engine.run_cells(cells)
+    for a, b in zip(reference, out):
+        assert results_equal(a, b)
+    assert engine.stats.pool_resets >= 1
+    assert engine.stats.cell_errors == 0
+    assert not engine.failure_report
 
 
 def test_acceptance_sixteen_cells_three_kills_one_corruption(cfg, tmp_path):
@@ -109,7 +129,7 @@ def test_acceptance_sixteen_cells_three_kills_one_corruption(cfg, tmp_path):
         kill_once=tuple(chaos_key(c) for c in cells[:3]),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=4, cache=cache,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         degrade_after=4,
@@ -136,10 +156,10 @@ def test_hung_worker_caught_by_parent_guard(cfg, tmp_path):
         hang_seconds=30.0,
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        cell_timeout=0.3, deadline_grace=1.0,  # guard fires after ~2.3 s
+        cell_timeout=0.3,  # guard fires after ~2.9 s
     ) as engine:
         install_chaos(engine, plan)
         out = engine.run_cells(cells)
@@ -158,7 +178,7 @@ def test_repeated_pool_failure_degrades_to_serial(cfg, tmp_path):
         kill_once=tuple(chaos_key(c) for c in cells[:3]),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
         degrade_after=1,
@@ -181,7 +201,7 @@ def test_serial_kill_degrades_to_raise_not_parricide(cfg, tmp_path):
         kill_once=(chaos_key(cfg),),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
     ) as engine:

@@ -17,7 +17,6 @@ from repro.experiments import (
     CellError,
     ExperimentEngine,
     FailureReport,
-    ResilientEngine,
     RetryPolicy,
     RunJournal,
     config_fingerprint,
@@ -26,7 +25,6 @@ from repro.experiments import (
 )
 from repro.experiments.chaos import ChaosPlan, chaos_key, install_chaos
 from repro.experiments.resilience import DEFAULT_TRANSIENT
-from repro.faults.recovery import RecoveryPolicy
 from repro.rocc import SimulationConfig
 
 
@@ -96,18 +94,6 @@ def test_retry_policy_backoff_is_deterministic_and_bounded():
     assert policy.delay(1, key="cell-a") != policy.delay(1, key="cell-b")
     no_jitter = RetryPolicy(backoff_base=0.1, backoff_jitter=0.0)
     assert no_jitter.delay(3, key="anything") == pytest.approx(0.4)
-
-
-def test_retry_policy_from_recovery_policy():
-    host = RetryPolicy.from_recovery_policy(
-        RecoveryPolicy(backoff_base=500.0, backoff_factor=3.0,
-                       backoff_jitter=0.25),
-        max_attempts=5,
-    )
-    assert host.max_attempts == 5
-    assert host.backoff_base == pytest.approx(0.5)  # 500 µs -> 500 ms
-    assert host.backoff_factor == 3.0
-    assert host.backoff_jitter == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ def test_cache_accepts_legacy_entry_without_sidecar(cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ResilientEngine: retries, deadlines, partial results
+# Engine failure handling: retries, deadlines, partial results
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +197,7 @@ def test_serial_transient_failure_is_retried(cfg, tmp_path):
     reference = _reference([cfg])
     plan = ChaosPlan(state_dir=str(tmp_path / "state"),
                      raise_once=(chaos_key(cfg),))
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
     ) as engine:
@@ -223,9 +209,24 @@ def test_serial_transient_failure_is_retried(cfg, tmp_path):
     assert "1 retries" in engine.stats.summary()
 
 
+def test_default_engine_does_not_retry_transient_failure(cfg, tmp_path):
+    """The default retry policy is RetryPolicy.none(): a transient
+    ChaosKilled failure is final on its first attempt."""
+    plan = ChaosPlan(state_dir=str(tmp_path / "state"),
+                     raise_once=(chaos_key(cfg),))
+    with ExperimentEngine(workers=1, cache=CellCache(enabled=False)) as engine:
+        install_chaos(engine, plan)
+        (out,) = engine.run_cells([cfg], isolate=True)
+    assert isinstance(out, CellError)
+    assert out.error.startswith("ChaosKilled")
+    assert engine.stats.retries == 0
+    assert engine.stats.cells_run == 1
+    assert engine.failure_report.failures[0].attempts == 1
+
+
 def test_deadline_breach_nonstrict_returns_partial_results(cfg):
     slow = cfg.with_(duration=1e10)  # far more work than 0.2 s allows
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         cell_timeout=0.2, strict=False,
@@ -245,7 +246,7 @@ def test_deadline_breach_nonstrict_returns_partial_results(cfg):
 
 
 def test_deadline_breach_strict_raises(cfg):
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy.none(), cell_timeout=0.2,
     ) as engine:
@@ -255,7 +256,7 @@ def test_deadline_breach_strict_raises(cfg):
 
 def test_deadline_does_not_change_results(cfg):
     reference = _reference([cfg])
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), cell_timeout=3600.0,
     ) as engine:
         out = engine.run_cells([cfg])
@@ -266,11 +267,9 @@ def test_deadline_does_not_change_results(cfg):
 
 def test_engine_validates_parameters():
     with pytest.raises(ValueError):
-        ResilientEngine(cell_timeout=0.0)
+        ExperimentEngine(cell_timeout=0.0)
     with pytest.raises(ValueError):
-        ResilientEngine(degrade_after=0)
-    with pytest.raises(ValueError):
-        ResilientEngine(deadline_grace=0.5)
+        ExperimentEngine(degrade_after=0)
 
 
 def test_failure_report_summary_and_format(cfg):
@@ -295,13 +294,13 @@ def test_resume_skips_completed_cells_and_matches(cfg, tmp_path):
     reference = _reference(cells)
     journal = tmp_path / "sweep.jsonl"
 
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as first:
         first.run_cells(cells[:2])  # interrupted after two cells
     assert first.stats.cells_run == 2
 
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as second:
         resumed = second.run_cells(cells)
@@ -314,13 +313,13 @@ def test_resume_skips_completed_cells_and_matches(cfg, tmp_path):
 
 def test_resume_works_without_cache_and_across_config_changes(cfg, tmp_path):
     journal = tmp_path / "sweep.jsonl"
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as first:
         first.run_cells([cfg])
     # A changed config produces a different fingerprint: no false resume.
     other = cfg.with_(seed=6)
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as second:
         second.run_cells([other])
@@ -331,7 +330,7 @@ def test_resume_works_without_cache_and_across_config_changes(cfg, tmp_path):
 def test_journal_records_failures(cfg, tmp_path):
     journal_path = tmp_path / "fail.jsonl"
     slow = cfg.with_(duration=1e10)
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy.none(), cell_timeout=0.2,
         journal=journal_path, strict=False,
