@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +72,15 @@ class MeanCI:
         return self.low <= value <= self.high
 
 
+@lru_cache(maxsize=1024)
+def t_quantile(q: float, df: int) -> float:
+    """Student-t quantile, memoised: adaptive replication and effect
+    intervals ask for the same few ``(level, dof)`` pairs over and over."""
+    from scipy.stats import t as t_dist
+
+    return float(t_dist.ppf(q, df))
+
+
 def mean_confidence_interval(
     data: Sequence[float], level: float = 0.90
 ) -> MeanCI:
@@ -85,8 +95,6 @@ def mean_confidence_interval(
     for none), ``low``/``high`` are ∓∞, and ``n`` is the finite count.
     Zero-variance samples produce an exact zero-width interval.
     """
-    from scipy.stats import t as t_dist
-
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
     arr = np.asarray(data, dtype=float)
@@ -98,7 +106,7 @@ def mean_confidence_interval(
                       level=level, n=n)
     mean = float(arr.mean())
     sem = float(arr.std(ddof=1) / math.sqrt(n))
-    h = float(t_dist.ppf(0.5 + level / 2.0, n - 1)) * sem
+    h = t_quantile(0.5 + level / 2.0, n - 1) * sem
     return MeanCI(mean=mean, low=mean - h, high=mean + h, level=level, n=n)
 
 

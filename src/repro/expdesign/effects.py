@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .confidence import t_quantile
 from .factorial import FactorialDesign
 
 __all__ = ["EffectShare", "VariationResult", "allocate_variation"]
@@ -127,12 +128,10 @@ def allocate_variation(
     # CI on effects: s_e = sqrt(SSE / (2^k (r-1))) / sqrt(2^k r).
     ci_half: Optional[float] = None
     if r > 1 and sse > 0:
-        from scipy.stats import t as t_dist
-
         dof = n_runs * (r - 1)
         s2e = sse / dof
         se_effect = math.sqrt(s2e / (n_runs * r))
-        ci_half = float(t_dist.ppf(0.5 + confidence / 2.0, dof)) * se_effect
+        ci_half = t_quantile(0.5 + confidence / 2.0, dof) * se_effect
 
     shares = []
     for label, q, ss in zip(labels, effects, ss_effects):

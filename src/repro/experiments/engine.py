@@ -19,7 +19,10 @@ both properties:
   fingerprint of the config (every dataclass field, nested cost models,
   distributions, fault plan, replication index) salted with a hash of
   the simulation source code, so re-running a sweep or benchmark
-  recomputes only cells whose inputs or code actually changed.
+  recomputes only cells whose inputs or code actually changed.  The
+  key is the sha256 of the ``repr`` of the config's canonical form: it
+  does not depend on the process or hash seed, and it survives every
+  code change outside the salted simulation packages.
 * **Deadlines** — ``cell_timeout`` arms the kernel watchdog inside the
   worker (``max_wall_seconds``), so a runaway cell aborts itself with
   :class:`~repro.des.SimulationStalled`.  A worker hung outside the
@@ -175,57 +178,112 @@ def code_version() -> str:
     return _code_version
 
 
-def _canonical(obj) -> object:
-    """Recursively reduce *obj* to a deterministic, order-stable form.
+def _tuple_text(parts: List[str]) -> str:
+    """``repr`` of a tuple whose items' reprs are *parts*."""
+    if len(parts) == 1:
+        return "(" + parts[0] + ",)"
+    return "(" + ", ".join(parts) + ")"
+
+
+#: Per-type encoders, built by :func:`_encoder_for` on first sight.
+_ENCODERS: dict = {}
+
+
+def _encode(obj) -> str:
+    """The canonical text of *obj*: a deterministic, order-stable ``repr``.
 
     Covers everything a :class:`SimulationConfig` can hold: nested
     dataclasses (cost models, workload, fault plans), enums,
-    distributions (plain objects — captured by class name + instance
-    dict), numpy arrays, and containers.  ``repr`` of floats keeps full
-    precision, so configs differing in the 17th digit fingerprint apart.
+    distributions (plain objects — captured by class name + sorted
+    instance dict), numpy values and arrays, and containers.  Floats
+    are tagged ``('f', repr)``, which keeps full precision, so configs
+    differing in the 17th digit fingerprint apart.  The text is written
+    directly, without building the tuple it spells; exact leaves are
+    formatted inline and every other type gets an encoder compiled once.
     """
-    if obj is None or isinstance(obj, (str, int, bool)):
-        return obj
-    if isinstance(obj, float):
-        return ("f", repr(obj))
-    if isinstance(obj, Enum):
-        return ("enum", type(obj).__name__, _canonical(obj.value))
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            "dc",
-            type(obj).__name__,
-            tuple((f.name, _canonical(getattr(obj, f.name))) for f in fields(obj)),
-        )
-    if isinstance(obj, dict):
-        items = [(_canonical(k), _canonical(v)) for k, v in obj.items()]
-        return ("dict", tuple(sorted(items, key=repr)))
-    if isinstance(obj, (list, tuple)):
-        return ("seq", tuple(_canonical(v) for v in obj))
-    if isinstance(obj, (set, frozenset)):
-        return ("set", tuple(sorted((_canonical(v) for v in obj), key=repr)))
-    if isinstance(obj, np.ndarray):
-        return ("nd", obj.shape, tuple(repr(float(v)) for v in obj.ravel()))
-    if isinstance(obj, np.generic):
-        return ("f", repr(obj.item()))
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        return (
-            "obj",
-            type(obj).__name__,
-            tuple((k, _canonical(v)) for k, v in sorted(d.items())),
-        )
-    return ("repr", repr(obj))
+    t = type(obj)
+    if t is float:
+        return "('f', '" + repr(obj) + "')"
+    if t is int or t is str or t is bool or obj is None:
+        return repr(obj)
+    enc = _ENCODERS.get(t)
+    if enc is None:
+        enc = _ENCODERS[t] = _encoder_for(t)
+    return enc(obj)
+
+
+def _encoder_for(t: type) -> Callable[[object], str]:
+    """Build the encoder of type *t*.  The checks run in a fixed order
+    and a type matching several (an ``IntEnum``, a namedtuple, a float
+    subclass) takes the first: the order is part of the key format."""
+    if issubclass(t, (str, int)):  # str-Enums, IntEnums, bool
+        return repr
+    if issubclass(t, float):  # np.float64 renders as 'np.float64(...)'
+        return lambda o: "('f', " + repr(repr(o)) + ")"
+    if issubclass(t, Enum):
+        name = repr(t.__name__)
+        return lambda o: "('enum', " + name + ", " + _encode(o.value) + ")"
+    if is_dataclass(t) and not issubclass(t, type):
+        labels = [(f.name, "(" + repr(f.name) + ", ") for f in fields(t)]
+        head = "('dc', " + repr(t.__name__) + ", "
+
+        def encode_dataclass(o) -> str:
+            parts = []
+            for name, label in labels:
+                v = getattr(o, name)
+                if type(v) is float:  # the commonest leaf, inline
+                    parts.append(label + "('f', '" + repr(v) + "'))")
+                else:
+                    parts.append(label + _encode(v) + ")")
+            return head + _tuple_text(parts) + ")"
+
+        return encode_dataclass
+    if issubclass(t, dict):
+        return lambda o: "('dict', " + _tuple_text(sorted(
+            "(" + _encode(k) + ", " + _encode(v) + ")"
+            for k, v in o.items())) + ")"
+    if issubclass(t, (list, tuple)):
+        return lambda o: "('seq', " + _tuple_text(
+            [_encode(v) for v in o]) + ")"
+    if issubclass(t, (set, frozenset)):
+        return lambda o: "('set', " + _tuple_text(
+            sorted(_encode(v) for v in o)) + ")"
+    if issubclass(t, np.ndarray):
+        return lambda o: repr(
+            ("nd", o.shape, tuple(repr(float(v)) for v in o.ravel())))
+    if issubclass(t, np.generic):  # np.int64(5) -> ('f', '5')
+        return lambda o: "('f', " + repr(repr(o.item())) + ")"
+    name = repr(t.__name__)
+
+    def encode_object(o) -> str:
+        d = getattr(o, "__dict__", None)
+        if d is None:
+            return "('repr', " + repr(repr(o)) + ")"
+        parts = []
+        for k, v in sorted(d.items()):
+            if type(v) is float:
+                parts.append("(" + repr(k) + ", ('f', '" + repr(v) + "'))")
+            else:
+                parts.append("(" + repr(k) + ", " + _encode(v) + ")")
+        return "('obj', " + name + ", " + _tuple_text(parts) + ")"
+
+    return encode_object
 
 
 def config_fingerprint(config: SimulationConfig, aggregated: bool = False) -> str:
     """Stable content address of one simulation cell.
 
-    Two configs fingerprint identically iff every field — including the
-    replication index and nested models — matches and the simulation
-    source is unchanged.
+    The key is the sha256 of the ``repr`` of the canonical form
+    ``("cell-v1", code_version(), aggregated, <config>)``, where every
+    field — including the replication index and nested models — is
+    spelled out by value.  Two configs fingerprint identically iff
+    every field matches and the simulation source is unchanged; changes
+    outside the salted simulation packages (``_SIM_PACKAGES``) leave
+    every key, and so every cache entry and journal record, valid.
     """
-    payload = ("cell-v1", code_version(), bool(aggregated), _canonical(config))
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    text = ("('cell-v1', " + repr(code_version()) + ", "
+            + repr(bool(aggregated)) + ", " + _encode(config) + ")")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def results_equal(a: SimulationResults, b: SimulationResults) -> bool:
@@ -292,16 +350,21 @@ class CellCache:
     def get(self, key: str) -> Optional[SimulationResults]:
         if not self.enabled:
             return None
-        path = self.path_for(key)
+        # Same location as path_for(), built as one string rather than
+        # by pathlib joins: this runs once per served cell.
+        path = os.path.join(self.root, key[:2], key + ".pkl")
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as f:
+                blob = f.read()
         except OSError:
             return None
         try:
-            expected = self.checksum_path_for(key).read_text().strip()
+            with open(path + ".sha256", "rb") as f:
+                expected = f.read().strip()
         except OSError:
             expected = None  # pre-checksum entry: fall back to unpickling
-        if expected is not None and hashlib.sha256(blob).hexdigest() != expected:
+        if (expected is not None
+                and hashlib.sha256(blob).hexdigest().encode() != expected):
             self._quarantine(key)
             return None
         try:
@@ -362,10 +425,13 @@ class CellCache:
                 p.unlink(missing_ok=True)
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every live entry; returns the number removed.
+
+        Quarantined entries are left in place for post-mortem.
+        """
         n = 0
         if self.root.is_dir():
-            for path in self.root.rglob("*.pkl"):
+            for path in self.root.glob("??/*.pkl"):
                 path.unlink(missing_ok=True)
                 path.with_name(path.name + ".sha256").unlink(missing_ok=True)
                 n += 1

@@ -149,3 +149,21 @@ def test_too_few_finite_observations_degenerate():
     all_nan = mean_confidence_interval([float("nan")] * 5)
     assert all_nan.degenerate and all_nan.n == 0
     assert all_nan.relative_half_width == float("inf")
+
+
+@pytest.mark.parametrize("level", [0.8, 0.9, 0.95])
+def test_memoised_t_quantile_is_bit_identical(level):
+    """The cached Student-t quantile yields exactly the interval a
+    direct ``scipy.stats.t.ppf`` call does, on first and repeated use."""
+    from scipy.stats import t as t_dist
+
+    gen = np.random.default_rng(7)
+    for df in range(1, 61):
+        data = gen.normal(100.0, 15.0, df + 1)
+        mean = float(data.mean())
+        sem = float(data.std(ddof=1) / np.sqrt(df + 1))
+        h = float(t_dist.ppf(0.5 + level / 2.0, df)) * sem
+        for _ in range(2):
+            ci = mean_confidence_interval(data, level)
+            assert (ci.mean, ci.low, ci.high, ci.n) == (
+                mean, mean - h, mean + h, df + 1)

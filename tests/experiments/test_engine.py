@@ -151,8 +151,16 @@ def test_cache_clear_and_disable(cfg, tmp_path, monkeypatch):
     cache = CellCache(tmp_path)
     engine = ExperimentEngine(workers=1, cache=cache)
     replicate(cfg, repetitions=2, engine=engine)
-    assert cache.clear() == 2
+    # One entry goes bad and is quarantined on read: clear() removes
+    # only the live entry and keeps the post-mortem copy.
+    bad = config_fingerprint(cfg.with_(replication=1))
+    cache.path_for(bad).write_bytes(b"not a pickle")
+    assert cache.get(bad) is None
+    quarantined = cache.quarantine_dir / f"{bad}.pkl"
+    assert quarantined.exists()
+    assert cache.clear() == 1
     assert cache.clear() == 0
+    assert quarantined.exists()
     monkeypatch.setenv("REPRO_CELL_CACHE", "0")
     assert CellCache(tmp_path).enabled is False
     monkeypatch.setenv("REPRO_CELL_CACHE", "1")
