@@ -60,7 +60,6 @@ print(json.dumps({
     "wall_seconds": wall,
     "events": stats["dequeues"],
     "events_per_second": stats["dequeues"] / wall if wall > 0 else 0.0,
-    "queue_impl": stats["impl"],
     "maxrss_kb": maxrss,
     "samples_received": results.samples_received,
 }))

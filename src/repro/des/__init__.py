@@ -41,7 +41,7 @@ from .exceptions import (
     StopSimulation,
 )
 from .monitor import P2Quantile, ReservoirSample, Tally, TimeWeighted
-from .profiling import KernelProfiler, format_profile, merge_profiles
+from .profiling import KernelProfiler, event_kind, format_profile, merge_profiles
 from .resources import (
     Preempted,
     PreemptiveResource,
@@ -51,7 +51,6 @@ from .resources import (
     Resource,
 )
 from .stores import FilterStore, Store
-from .tracing import EventCounter, EventLog, TraceEntry, event_kind
 
 __all__ = [
     "Environment",
@@ -84,9 +83,6 @@ __all__ = [
     "ReservoirSample",
     "Tally",
     "TimeWeighted",
-    "EventLog",
-    "EventCounter",
-    "TraceEntry",
     "event_kind",
     "KernelProfiler",
     "format_profile",

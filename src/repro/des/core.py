@@ -14,7 +14,8 @@ the ROCC model, but the kernel itself is unit-agnostic.
 from __future__ import annotations
 
 import os
-from itertools import count
+from itertools import count, repeat
+from sys import maxsize
 from time import monotonic
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -80,9 +81,9 @@ class Environment:
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Optional observers invoked as ``tracer(event, now)`` for every
-        #: processed event (see :mod:`repro.des.tracing`).  Kept as a
-        #: plain list checked with one truthiness test so the untraced
-        #: hot path stays cheap.
+        #: processed event (see :class:`~repro.des.profiling.KernelProfiler`).
+        #: Kept as a plain list checked with one truthiness test so the
+        #: untraced hot path stays cheap.
         self._tracers: List = []
         #: ``REPRO_DES_FASTPATH=0`` disables holds and event recycling,
         #: restoring the generic kernel (the equivalence-test baseline).
@@ -148,8 +149,8 @@ class Environment:
         pool = self._timeout_pool
         if not pool:
             return Timeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         t = pool.pop()
         t.callbacks = []
         t._value = value
@@ -175,8 +176,8 @@ class Environment:
         proc = self._active_proc
         if proc is None or not self._fastpath:
             return self.timeout(delay)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         pool = self._hold_pool
         hold = pool.pop() if pool else Hold()
         hold.proc = proc
@@ -205,6 +206,8 @@ class Environment:
     # ------------------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue *event* to be processed ``delay`` time units from now."""
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         self._push((self._now + delay, priority, next(self._eid), event))
 
     def step(self) -> None:
@@ -214,51 +217,7 @@ class Environment:
         re-raises the value of any *failed* event that no waiter defused
         (an unhandled simulation error).
         """
-        try:
-            self._now, _, _, event = self._scheduler.pop()
-        except IndexError:
-            raise EmptySchedule() from None
-
-        if type(event) is Hold:
-            proc = event.proc
-            if self._tracers:
-                for tracer in self._tracers:
-                    tracer(event, self._now)
-            event.proc = None
-            if len(self._hold_pool) < _POOL_LIMIT:
-                self._hold_pool.append(event)
-            if proc is not None:  # None: cancelled by an interrupt
-                proc._resume(event)
-            return
-
-        if self._tracers:
-            for tracer in self._tracers:
-                tracer(event, self._now)
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - double-processing guard
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if type(event) is Timeout:
-            # Recycle iff every waiter was a plain process resume (or the
-            # list is empty after an interrupt detach): such a timeout can
-            # never be re-inspected, unlike condition constituents whose
-            # values are read after processing.
-            if self._fastpath and len(self._timeout_pool) < _POOL_LIMIT:
-                for cb in callbacks:
-                    if getattr(cb, "__func__", None) is not _PROCESS_RESUME:
-                        return
-                # Pooled with callbacks=None: stale references still see a
-                # processed event until the instance is actually reused.
-                self._timeout_pool.append(event)
-            return
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover
+        self._dispatch(1)
 
     def run(
         self,
@@ -306,28 +265,28 @@ class Environment:
 
         try:
             if max_events is None and max_wall_seconds is None:
-                self._run_inner()
+                self._dispatch(maxsize)
             else:
+                # The watchdog runs the same loop in chunks that end on
+                # every multiple of 1024 events (or at ``max_events``), so
+                # the budget and the wall clock are checked only between
+                # chunks: one syscall per 1024 events, none per event.
                 deadline = (
                     monotonic() + max_wall_seconds
                     if max_wall_seconds is not None
                     else None
                 )
+                budget = maxsize if max_events is None else max_events
                 steps = 0
                 while True:
-                    self.step()
-                    steps += 1
-                    if max_events is not None and steps >= max_events:
+                    chunk = min(1024, budget - steps)
+                    self._dispatch(chunk)
+                    steps += chunk
+                    if steps >= budget:
                         raise self._stalled(
                             f"exceeded max_events={max_events}", steps
                         )
-                    # Wall-clock checks are batched so the hot loop pays
-                    # one integer test per event, not a syscall.
-                    if (
-                        deadline is not None
-                        and steps & 0x3FF == 0
-                        and monotonic() >= deadline
-                    ):
+                    if deadline is not None and monotonic() >= deadline:
                         raise self._stalled(
                             f"exceeded max_wall_seconds={max_wall_seconds}", steps
                         )
@@ -340,12 +299,13 @@ class Environment:
                 ) from None
         return None
 
-    def _run_inner(self) -> None:
-        """Inlined dispatch loop for un-watchdogged runs.
+    def _dispatch(self, n: int) -> None:
+        """Process at most *n* events: the kernel's one dispatch loop.
 
-        Byte-for-byte the same event semantics as :meth:`step`, with
-        every per-event attribute lookup hoisted into a local.  Exits by
-        raising :class:`StopSimulation` / :class:`EmptySchedule`, which
+        :meth:`step` calls it with ``n=1`` and :meth:`run` with an
+        unbounded or watchdog-chunked ``n``; every per-event attribute
+        lookup is hoisted into a local.  Exits early by raising
+        :class:`StopSimulation` / :class:`EmptySchedule`, which
         :meth:`run` handles.
         """
         pop = self._scheduler.pop
@@ -357,7 +317,7 @@ class Environment:
         hold_cls = Hold
         timeout_cls = Timeout
         pool_limit = _POOL_LIMIT
-        while True:
+        for _ in repeat(None, n):
             try:
                 now, _, _, event = pop()
             except IndexError:
@@ -385,6 +345,12 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if cls is timeout_cls:
+                # Recycle iff every waiter was a plain process resume (or
+                # the list is empty after an interrupt detach): such a
+                # timeout can never be re-inspected, unlike condition
+                # constituents whose values are read after processing.
+                # Pooled with callbacks=None: stale references still see
+                # a processed event until the instance is actually reused.
                 if fastpath and len(timeout_pool) < pool_limit:
                     for cb in callbacks:
                         if getattr(cb, "__func__", None) is not resume:

@@ -208,8 +208,8 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         # Bypass Event.__init__ to schedule immediately.
         self.env = env
         self.callbacks = []

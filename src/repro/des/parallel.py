@@ -49,6 +49,7 @@ import multiprocessing as mp
 import os
 import signal
 import time
+from contextlib import nullcontext
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional
 
@@ -117,9 +118,7 @@ def _lp_worker(conn, config, role, window: float) -> None:
         sent = 0
         horizon = 0.0
         w = 0
-        if profiler is not None:
-            profiler.__enter__()
-        try:
+        with profiler or nullcontext():
             while horizon < duration:
                 w += 1
                 horizon = min(duration, w * window)
@@ -134,9 +133,6 @@ def _lp_worker(conn, config, role, window: float) -> None:
                     with open(chaos_marker, "w"):
                         pass
                     os.kill(os.getpid(), signal.SIGKILL)
-        finally:
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
 
         payload = {
             "metrics": system.metrics,
@@ -296,34 +292,28 @@ def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
 
         t0 = time.perf_counter()
         profiler = KernelProfiler(env) if profile_enabled() else None
-        if profiler is not None:
-            profiler.__enter__()
-        try:
-            with maybe_span(
-                "simulate", cat="run",
-                args={
-                    "config": system._run_label(),
-                    "duration_us": duration,
-                    "lp_workers": k,
-                },
-            ):
-                while True:
-                    safe = min(duration, min(
-                        horizons[lp] + la_map.get(lp, 0.0) for lp in range(k)
-                    ))
-                    if safe > last_safe:
-                        inject_up_to(safe)
-                        if safe > env.now:
-                            env.run(until=safe)
-                        last_safe = safe
-                    if all(d is not None for d in done):
-                        break
-                    sync_waits += 1
-                    for conn in _conn_wait(list(conn_by_fd.values())):
-                        handle(conn)
-        finally:
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
+        with profiler or nullcontext(), maybe_span(
+            "simulate", cat="run",
+            args={
+                "config": system._run_label(),
+                "duration_us": duration,
+                "lp_workers": k,
+            },
+        ):
+            while True:
+                safe = min(duration, min(
+                    horizons[lp] + la_map.get(lp, 0.0) for lp in range(k)
+                ))
+                if safe > last_safe:
+                    inject_up_to(safe)
+                    if safe > env.now:
+                        env.run(until=safe)
+                    last_safe = safe
+                if all(d is not None for d in done):
+                    break
+                sync_waits += 1
+                for conn in _conn_wait(list(conn_by_fd.values())):
+                    handle(conn)
 
         for proc in procs:
             proc.join()

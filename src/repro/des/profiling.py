@@ -25,11 +25,11 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from .core import Environment
-from .events import Hold, Process
-from .tracing import event_kind
+from .events import Event, Hold, Process, Timeout
 
 __all__ = [
     "KernelProfiler",
+    "event_kind",
     "profile_enabled",
     "merge_profiles",
     "format_profile",
@@ -43,6 +43,17 @@ def profile_enabled() -> bool:
     return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
         "1", "on", "true", "yes",
     )
+
+
+def event_kind(event: Event) -> str:
+    """Short classification of an event for logs and counters."""
+    if isinstance(event, Process):
+        return "process"
+    if isinstance(event, (Timeout, Hold)):
+        # A fast-path hold is semantically a timeout, so traces stay
+        # identical whichever kernel path produced the event.
+        return "timeout"
+    return type(event).__name__.lower()
 
 
 class KernelProfiler:
@@ -213,20 +224,10 @@ def merge_profiles(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
             ),
             "max": max(a["heap"]["max"], b["heap"]["max"]),
         },
-        "queue": _merge_queue(a.get("queue"), b.get("queue")),
-    }
-
-
-def _merge_queue(qa: Optional[dict], qb: Optional[dict]) -> dict:
-    """Combine scheduler counter sections (tolerates legacy profiles)."""
-    qa = qa or {}
-    qb = qb or {}
-    impl_a = qa.get("impl", "?")
-    impl_b = qb.get("impl", "?")
-    return {
-        "impl": impl_a if impl_a == impl_b else f"{impl_a}+{impl_b}",
-        "enqueues": qa.get("enqueues", 0) + qb.get("enqueues", 0),
-        "dequeues": qa.get("dequeues", 0) + qb.get("dequeues", 0),
+        "queue": {
+            key: a["queue"][key] + b["queue"][key]
+            for key in ("enqueues", "dequeues")
+        },
     }
 
 
@@ -246,9 +247,8 @@ def format_profile(profile: Optional[dict]) -> str:
     queue = profile.get("queue")
     if queue:
         lines.append(
-            f"  event queue [{queue.get('impl', '?')}]: "
-            f"{queue.get('enqueues', 0):,} enqueues, "
-            f"{queue.get('dequeues', 0):,} dequeues"
+            f"  event queue: {queue['enqueues']:,} enqueues, "
+            f"{queue['dequeues']:,} dequeues"
         )
     lines.append("  by event kind:")
     for kind, row in sorted(

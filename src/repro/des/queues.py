@@ -36,8 +36,6 @@ class HeapScheduler:
     (``enqueues − len``), so ``pop`` stays a bare ``heappop``.
     """
 
-    name = "heap"
-
     __slots__ = ("_entries", "enqueues")
 
     def __init__(self) -> None:
@@ -64,7 +62,6 @@ class HeapScheduler:
 
     def stats(self) -> dict:
         return {
-            "impl": self.name,
             "enqueues": self.enqueues,
             "dequeues": self.enqueues - len(self._entries),
         }

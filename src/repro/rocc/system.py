@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -665,21 +666,15 @@ class ParadynISSystem:
             "simulate", cat="run",
             args={"config": self._run_label(), "duration_us": cfg.duration},
         ):
-            if profile_enabled():
-                profiler = KernelProfiler(self.env)
-                with profiler:
-                    self.env.run(
-                        until=cfg.duration,
-                        max_events=cfg.max_events,
-                        max_wall_seconds=cfg.max_wall_seconds,
-                    )
-                set_last_profile(profiler.report())
-            else:
+            profiler = KernelProfiler(self.env) if profile_enabled() else None
+            with profiler or nullcontext():
                 self.env.run(
                     until=cfg.duration,
                     max_events=cfg.max_events,
                     max_wall_seconds=cfg.max_wall_seconds,
                 )
+            if profiler is not None:
+                set_last_profile(profiler.report())
         if tracer is not None:
             self._finish_observability()
         self._publish_metrics()

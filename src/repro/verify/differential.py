@@ -5,8 +5,8 @@ but promise not to change *what* it computes:
 
 * ``REPRO_DES_FASTPATH`` — the DES kernel's hold/pooling/inline fast
   path vs the generic event loop;
-* the kernel watchdog — ``max_events`` forces the ``step()`` loop
-  instead of the inlined ``_run_inner``;
+* the kernel watchdog — ``max_events`` runs the one dispatch loop in
+  budgeted 1024-event chunks instead of one unbounded call;
 * engine workers — process-pool scheduling vs the serial loop;
 * the cell cache — a result loaded from disk vs freshly computed;
 * a BF flush timeout under batch size 1 — the flush loop can never see
@@ -124,10 +124,10 @@ def check_fastpath(config: SimulationConfig) -> List[Violation]:
 
 
 def check_watchdog(config: SimulationConfig) -> List[Violation]:
-    """Watchdog-instrumented ``step()`` loop vs the inlined run loop.
+    """A budgeted, chunked run of the dispatch loop vs an unbudgeted one.
 
     A ``max_events`` budget far above what the run needs must not change
-    anything — only the dispatch loop differs.
+    anything — only the chunking of the one dispatch loop differs.
     """
     plain = simulate(config)
     watched = simulate(config.with_(max_events=1_000_000_000))

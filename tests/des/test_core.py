@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.des import Environment, EmptySchedule, Event
+from repro.des import Environment, EmptySchedule, Event, Timeout
+
+NAN = float("nan")
 
 
 def test_initial_time_default():
@@ -128,6 +130,72 @@ def test_events_at_same_time_fifo_order(env):
 def test_negative_delay_rejected(env):
     with pytest.raises(ValueError):
         env.timeout(-1)
+
+
+@pytest.mark.parametrize("delay", [-5.0, NAN])
+def test_schedule_rejects_bad_delay(env, delay):
+    env.run(until=10.0)
+    with pytest.raises(ValueError, match="invalid delay"):
+        env.schedule(env.event(), delay=delay)
+    assert len(env) == 0 and env.now == 10.0
+
+
+def test_timeout_rejects_nan_delay_fresh(env):
+    assert env._timeout_pool == []
+    with pytest.raises(ValueError, match="invalid delay"):
+        env.timeout(NAN)
+    assert len(env) == 0
+
+
+@pytest.mark.parametrize("delay", [-1.0, NAN])
+def test_timeout_rejects_bad_delay_pooled(env, delay):
+    def proc(env):
+        yield env.timeout(1.0)
+
+    env.process(proc(env))
+    env.run()
+    assert env._timeout_pool  # the next timeout comes off the free list
+    with pytest.raises(ValueError, match="invalid delay"):
+        env.timeout(delay)
+    assert len(env) == 0
+
+
+def test_timeout_constructor_rejects_nan_delay(env):
+    with pytest.raises(ValueError, match="invalid delay"):
+        Timeout(env, NAN)
+    assert len(env) == 0
+
+
+def test_hold_rejects_nan_delay(env):
+    caught = []
+
+    def proc(env):
+        try:
+            env.hold(NAN)
+        except ValueError as exc:
+            caught.append(str(exc))
+        yield env.hold(1.0)
+
+    env.process(proc(env))
+    env.run()
+    assert len(caught) == 1 and "invalid delay" in caught[0]
+    assert env.now == 1.0
+
+
+def test_run_until_nan_rejected(env):
+    with pytest.raises(ValueError):
+        env.run(until=NAN)
+
+
+def test_step_processes_exactly_one_event(env):
+    env.timeout(3.0)
+    env.timeout(5.0)
+    env.step()
+    assert len(env) == 1
+    assert env.now == 3.0
+    env.step()
+    assert len(env) == 0
+    assert env.now == 5.0
 
 
 def test_clock_is_monotonic_across_many_events(env):

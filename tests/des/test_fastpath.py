@@ -1,7 +1,7 @@
 """Fast-path kernel tests: holds, event pooling, and the escape hatch.
 
 The optimizations under test here (``Environment.hold``, the Hold and
-Timeout free lists, the inlined ``_run_inner`` dispatch loop) promise
+Timeout free lists, the hoisted ``_dispatch`` loop) promise
 *exact* equivalence with the generic kernel — same event order, same
 clock, same values — so most tests assert behaviour identical to a
 plain-timeout formulation, plus the object-identity facts (recycling)
@@ -10,7 +10,7 @@ that make the fast path fast.
 
 import pytest
 
-from repro.des import Environment, Interrupt, SimulationStalled, Timeout
+from repro.des import Environment, Interrupt, SimulationStalled, Timeout, event_kind
 from repro.des.core import _POOL_LIMIT
 from repro.des.events import HOLD_COMPLETED, Hold
 
@@ -281,8 +281,6 @@ def test_fastpath_escape_hatch(monkeypatch):
 def test_fastpath_and_generic_produce_identical_traces(monkeypatch):
     """The same model stepped under both kernels yields the same event
     history (kind, time) and final state."""
-    from repro.des import EventLog
-
     def model(env):
         def app(env, period, n):
             for _ in range(n):
@@ -295,9 +293,10 @@ def test_fastpath_and_generic_produce_identical_traces(monkeypatch):
         env.process(app(env, 3.0, 10), name="app")
         env.process(app(env, 5.0, 6), name="app2")
         env.process(poller(env), name="poller")
-        with EventLog(env) as log:
-            env.run(until=30.0)
-        return [(e.time, e.kind) for e in log.entries], env.now
+        seen = []
+        env.add_tracer(lambda ev, now: seen.append((now, event_kind(ev))))
+        env.run(until=30.0)
+        return seen, env.now
 
     monkeypatch.setenv("REPRO_DES_FASTPATH", "1")
     fast = model(Environment())

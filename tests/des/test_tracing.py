@@ -1,12 +1,30 @@
-"""Tests for kernel event tracing (EventLog, EventCounter)."""
+"""Tests for the kernel's tracer hook (add_tracer / remove_tracer) and
+the event-kind names its traces use."""
 
-from repro.des import Environment, EventCounter, EventLog, event_kind
-from repro.des.events import Timeout
+from repro.des import Environment, event_kind
 
 
 def model(env, ticks=5):
     for _ in range(ticks):
         yield env.timeout(10.0)
+
+
+def trace(env):
+    """Attach a local tracer recording ``(now, kind, name)`` per event."""
+    seen = []
+
+    def tracer(ev, now):
+        seen.append((now, event_kind(ev), getattr(ev, "name", None)))
+
+    env.add_tracer(tracer)
+    return seen, tracer
+
+
+def kinds(seen):
+    out = {}
+    for _, kind, _ in seen:
+        out[kind] = out.get(kind, 0) + 1
+    return out
 
 
 def test_event_kind_classification(env):
@@ -18,76 +36,49 @@ def test_event_kind_classification(env):
 
 
 def test_event_log_records_processed_events(env):
-    log = EventLog(env)
-    with log:
-        env.process(model(env, 5))
-        env.run()
+    seen, _ = trace(env)
+    env.process(model(env, 5))
+    env.run()
     # 5 timeouts + 1 initialize + 1 process completion.
-    assert log.summary()["timeout"] == 5
-    assert log.summary()["process"] == 1
-    assert len(log) >= 7
+    assert kinds(seen)["timeout"] == 5
+    assert kinds(seen)["process"] == 1
+    assert len(seen) == 7
 
 
 def test_event_log_times_monotonic(env):
-    with EventLog(env) as log:
-        env.process(model(env, 4))
-        env.run()
-    times = [e.time for e in log.entries]
+    seen, _ = trace(env)
+    env.process(model(env, 4))
+    env.run()
+    times = [t for t, _, _ in seen]
     assert times == sorted(times)
 
 
-def test_event_log_limit_drops_oldest(env):
-    log = EventLog(env, limit=3)
-    with log:
-        env.process(model(env, 10))
-        env.run()
-    assert len(log) == 3
-    assert log.dropped > 0
-    # Retained entries are the latest ones.
-    assert log.entries[-1].time >= log.entries[0].time
-
-
 def test_event_log_detach_stops_recording(env):
-    log = EventLog(env).attach()
+    seen, tracer = trace(env)
     env.process(model(env, 2))
     env.run(until=15.0)
-    count_attached = len(log)
-    log.detach()
+    count_attached = len(seen)
+    env.remove_tracer(tracer)
+    env.remove_tracer(tracer)  # removing an absent tracer is a no-op
     env.run()
-    assert len(log) == count_attached
-
-
-def test_event_log_queries(env):
-    with EventLog(env) as log:
-        env.process(model(env, 5))
-        env.run()
-    assert all(e.kind == "timeout" for e in log.of_kind("timeout"))
-    mid = log.between(15.0, 35.0)
-    assert all(15.0 <= e.time <= 35.0 for e in mid)
+    assert len(seen) == count_attached
 
 
 def test_event_counter(env):
-    counter = EventCounter(env)
-    with counter:
-        env.process(model(env, 8))
-        env.run()
-    assert counter.counts["timeout"] == 8
-    assert counter.total >= 9
-    assert counter.events_per_sim_time() > 0
+    seen, _ = trace(env)
+    env.process(model(env, 8))
+    env.run()
+    assert kinds(seen)["timeout"] == 8
+    assert len(seen) == env.scheduler.stats()["dequeues"]
 
 
-def test_counter_density_nan_without_span(env):
-    counter = EventCounter(env)
-    assert counter.events_per_sim_time() != counter.events_per_sim_time()
-
-
-def test_tracers_do_not_disturb_simulation(env):
+def test_tracers_do_not_disturb_simulation():
     results = []
 
     def run(traced):
         e = Environment()
         if traced:
-            EventLog(e).attach()
+            trace(e)
         done = []
 
         def proc(e):
@@ -104,8 +95,8 @@ def test_tracers_do_not_disturb_simulation(env):
 
 
 def test_process_names_recorded(env):
-    with EventLog(env) as log:
-        env.process(model(env, 1), name="my-proc")
-        env.run()
-    names = {e.name for e in log.of_kind("process")}
+    seen, _ = trace(env)
+    env.process(model(env, 1), name="my-proc")
+    env.run()
+    names = {name for _, kind, name in seen if kind == "process"}
     assert "my-proc" in names

@@ -1,13 +1,11 @@
-"""Property tests for the kernel's event tracing (repro.des.tracing).
+"""Property tests for the kernel's tracer hook (``Environment.add_tracer``).
 
-For any workload and any retention ``limit`` — including the degenerate
-``limit=0`` — an :class:`EventLog` must satisfy:
+For any workload, a tracer registered on the environment must see:
 
-* retained entries are time-monotone (the kernel processes events in
-  time order, and the log preserves it);
-* ``dropped + len(entries)`` equals the number of events processed
-  (counted independently by an :class:`EventCounter`);
-* at most ``limit`` entries are retained.
+* processed times that are monotone (the kernel processes events in
+  time order);
+* exactly as many events as the scheduler dequeued;
+* the same ``(time, kind)`` trace under both kernels.
 
 Both kernel paths are exercised: the fast path (holds, event pooling)
 and the generic loop (``REPRO_DES_FASTPATH=0``).  The knob is read per
@@ -22,8 +20,7 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment
-from repro.des.tracing import EventCounter, EventLog
+from repro.des import Environment, event_kind
 
 
 @contextmanager
@@ -51,6 +48,12 @@ def _workload(env: Environment, delays_per_proc) -> None:
         env.process(proc(delays))
 
 
+def _traced(env: Environment) -> list:
+    seen = []
+    env.add_tracer(lambda ev, now: seen.append((now, event_kind(ev))))
+    return seen
+
+
 @given(
     delays_per_proc=st.lists(
         st.lists(
@@ -60,48 +63,22 @@ def _workload(env: Environment, delays_per_proc) -> None:
         ),
         min_size=1, max_size=5,
     ),
-    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
     fastpath=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_eventlog_conservation_and_monotonicity(
-    delays_per_proc, limit, fastpath
-) -> None:
+def test_eventlog_conservation_and_monotonicity(delays_per_proc, fastpath) -> None:
     with _fastpath(fastpath):
         env = Environment()
         _workload(env, delays_per_proc)
-        log = EventLog(env, limit=limit)
-        counter = EventCounter(env)
-        with log, counter:
-            env.run(until=10_000.0)
+        seen = _traced(env)
+        env.run(until=10_000.0)
 
-    # Conservation: every processed event was retained or dropped.
-    assert log.dropped + len(log.entries) == counter.total
-
-    # Retention bound.
-    if limit is not None:
-        assert len(log.entries) <= limit
+    # Conservation: the tracer saw every event the scheduler served.
+    assert len(seen) == env.scheduler.stats()["dequeues"]
 
     # Monotone time.
-    times = [e.time for e in log.entries]
+    times = [t for t, _ in seen]
     assert times == sorted(times)
-
-    # The retained tail is exactly the most recent events: nothing can
-    # be retained from before the drop horizon.
-    if log.dropped and log.entries:
-        assert log.entries[0].time >= 0.0
-
-
-def test_eventlog_limit_zero_drops_everything() -> None:
-    """limit=0 retains nothing and must not crash (regression: the
-    bounded branch used to pop from the empty entries list)."""
-    env = Environment()
-    _workload(env, [[1.0, 2.0, 3.0]])
-    log = EventLog(env, limit=0)
-    with log:
-        env.run(until=100.0)
-    assert log.entries == []
-    assert log.dropped > 0
 
 
 def test_eventlog_equivalent_across_kernel_paths() -> None:
@@ -111,8 +88,7 @@ def test_eventlog_equivalent_across_kernel_paths() -> None:
         with _fastpath(fastpath):
             env = Environment()
             _workload(env, [[5.0, 1.0], [2.0, 2.0, 2.0]])
-            log = EventLog(env)
-            with log:
-                env.run(until=1_000.0)
-        traces[fastpath] = [(e.time, e.kind) for e in log.entries]
+            seen = _traced(env)
+            env.run(until=1_000.0)
+        traces[fastpath] = seen
     assert traces[True] == traces[False]
